@@ -4,7 +4,7 @@
 //! This lives in the `serde` shim so both the derive-generated code and the
 //! `serde_json` facade can share one representation.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Any JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,19 +253,27 @@ impl std::error::Error for Error {}
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Copy runs that need no escaping in one go. Every byte that needs an
+    // escape is ASCII, so run boundaries are char boundaries.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -376,6 +384,7 @@ impl fmt::Display for Value {
 /// Parses a JSON document, requiring nothing but whitespace after it.
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -389,6 +398,7 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -494,13 +504,29 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. Both
+            // stop bytes are ASCII, so the run ends on a char boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = self
+                    .text
+                    .get(self.pos..self.pos + run)
+                    .ok_or_else(|| self.err("invalid UTF-8"))?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: one escape follows.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -519,14 +545,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }

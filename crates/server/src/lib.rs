@@ -15,8 +15,8 @@
 //! * [`cache`] — the on-disk result cache keyed by [`canon::cache_key`];
 //! * [`farm`] — the sweep farm: scenario fan-out across spawned worker
 //!   processes with cache short-circuiting and kill/resume semantics;
-//! * [`service`] — the TCP accept loop, per-connection dispatch, and the
-//!   stdio worker loop;
+//! * [`service`] — the TCP accept loop, per-connection dispatch, the
+//!   stdio worker loop, and the socket set-up every TCP stream shares;
 //! * [`signals`] — the SIGINT/SIGTERM stop flag behind graceful shutdown.
 //!
 //! The headline invariant: a scenario submitted over the wire produces
@@ -44,7 +44,7 @@ pub use protocol::{
     read_frame, write_frame, FrameError, Reply, Request, ServerError, SessionStatus,
     TelemetryFrame, MAX_FRAME_LEN,
 };
-pub use service::{serve, worker_loop, worker_loop_on};
+pub use service::{prepare_stream, serve, worker_loop, worker_loop_on};
 pub use session::LiveSession;
 pub use signals::{install as install_signal_handlers, request_stop, stop_flag};
 

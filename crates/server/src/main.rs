@@ -164,7 +164,11 @@ fn connect(flags: &[(String, String)]) -> TcpStream {
     let Some(addr) = flag(flags, "addr") else {
         fail("this mode needs --addr HOST:PORT");
     };
-    TcpStream::connect(addr).unwrap_or_else(|e| fail(format!("connecting to {addr}: {e}")))
+    let stream =
+        TcpStream::connect(addr).unwrap_or_else(|e| fail(format!("connecting to {addr}: {e}")));
+    sora_server::prepare_stream(&stream)
+        .unwrap_or_else(|e| fail(format!("setting up the connection to {addr}: {e}")));
+    stream
 }
 
 fn mode_submit(flags: &[(String, String)], files: &[String]) -> ! {

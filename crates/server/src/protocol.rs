@@ -58,25 +58,32 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Writes one frame: big-endian length, then the compact JSON payload.
+///
+/// The frame leaves in a single `write_all` of one buffer: the JSON is
+/// rendered behind a 4-byte placeholder that is then patched with the
+/// length. Splitting prefix and payload into two writes would let Nagle's
+/// algorithm hold the payload until the peer's delayed ACK (~40 ms).
 pub fn write_frame<W: Write, T: Serialize + ?Sized>(
     w: &mut W,
     value: &T,
 ) -> Result<(), FrameError> {
-    let text = serde_json::to_string(value).map_err(|e| FrameError::Json {
-        message: e.to_string(),
-    })?;
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN as usize {
+    // Room for the prefix and a small reply; larger frames grow as
+    // `serde_json::to_string` would.
+    let mut text = String::with_capacity(64);
+    text.push_str("\0\0\0\0");
+    serde_json::to_value(value).write_compact(&mut text);
+    let mut frame = text.into_bytes();
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_LEN as usize {
         return Err(FrameError::Oversized {
-            len: bytes.len().min(u32::MAX as usize) as u32,
+            len: len.min(u32::MAX as usize) as u32,
         });
     }
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     let io = |e: std::io::Error| FrameError::Io {
         message: e.to_string(),
     };
-    w.write_all(&(bytes.len() as u32).to_be_bytes())
-        .map_err(io)?;
-    w.write_all(bytes).map_err(io)?;
+    w.write_all(&frame).map_err(io)?;
     w.flush().map_err(io)?;
     Ok(())
 }

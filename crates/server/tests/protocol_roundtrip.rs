@@ -4,12 +4,13 @@
 
 use microsim::{DropBreakdown, TelemetrySnapshot};
 use proptest::prelude::*;
+use serde::Serialize;
 use sora_core::ControllerStatus;
 use sora_server::{
     read_frame, write_frame, FrameError, Reply, Request, ScenarioError, ServerError, SessionStatus,
     TelemetryFrame, MAX_FRAME_LEN,
 };
-use std::io::Cursor;
+use std::io::{Cursor, Write};
 
 fn round_trip_request(request: Request) {
     let mut buf = Vec::new();
@@ -56,9 +57,8 @@ fn sample_status() -> SessionStatus {
     }
 }
 
-#[test]
-fn every_request_variant_round_trips() {
-    for request in [
+fn every_request() -> Vec<Request> {
+    vec![
         Request::Ping,
         Request::Submit {
             scenario: "{\"app\": \"sock_shop\"}".to_string(),
@@ -73,14 +73,12 @@ fn every_request_variant_round_trips() {
         Request::Finish,
         Request::Halt,
         Request::Shutdown,
-    ] {
-        round_trip_request(request);
-    }
+    ]
 }
 
-#[test]
-fn every_reply_variant_round_trips() {
-    for reply in [
+/// Every reply variant, plus a large result frame of multi-byte text.
+fn every_reply() -> Vec<Reply> {
+    vec![
         Reply::Pong,
         Reply::Result {
             key: "abc123".to_string(),
@@ -132,8 +130,74 @@ fn every_reply_variant_round_trips() {
                 message: "worker died".to_string(),
             },
         },
-    ] {
+        Reply::Result {
+            key: "def456".to_string(),
+            text: "{\"p99_ms\": 12.5, \"label\": \"é€😀\\n\"}\n".repeat(4096),
+        },
+    ]
+}
+
+#[test]
+fn every_request_variant_round_trips() {
+    for request in every_request() {
+        round_trip_request(request);
+    }
+}
+
+#[test]
+fn every_reply_variant_round_trips() {
+    for reply in every_reply() {
         round_trip_reply(reply);
+    }
+}
+
+/// A `Write` that records each `write` call's bytes.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The wire format by definition: the payload length as 4 big-endian
+/// bytes, then the compact JSON.
+fn reference_frame<T: Serialize>(value: &T) -> Vec<u8> {
+    let text = serde_json::to_string(value).unwrap();
+    let mut bytes = (text.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(text.as_bytes());
+    bytes
+}
+
+fn assert_one_write_of_reference_bytes<T: Serialize + std::fmt::Debug>(value: &T) {
+    let mut w = CountingWriter::default();
+    write_frame(&mut w, value).unwrap();
+    assert_eq!(w.writes, 1, "{value:?} left in {} writes", w.writes);
+    assert!(
+        w.bytes == reference_frame(value),
+        "{value:?}: wire bytes changed"
+    );
+}
+
+/// Each frame is a single write (a split prefix and payload stalls on
+/// Nagle plus delayed ACK), and its bytes are exactly the wire format.
+#[test]
+fn every_frame_is_one_write_of_the_reference_bytes() {
+    for request in every_request() {
+        assert_one_write_of_reference_bytes(&request);
+    }
+    for reply in every_reply() {
+        assert_one_write_of_reference_bytes(&reply);
     }
 }
 

@@ -9,6 +9,7 @@ use sora_server::{
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 const TINY_A: &str = r#"{"app": "sock_shop", "trace": "Steady", "max_users": 100,
                          "duration_secs": 10, "sla_ms": 400, "seed": 21}"#;
@@ -224,6 +225,66 @@ fn live_session_lifecycle_streams_telemetry_and_finishes_byte_identical() {
         "stepped wire bytes != in-process bytes"
     );
 
+    stop.store(true, Ordering::SeqCst);
+}
+
+/// Regression guard for the Nagle plus delayed-ACK stall. Each subscribed
+/// step streams a `Telemetry` frame and then a `Stepped` frame back to
+/// back; with Nagle on at the server, the second frame waited for the
+/// client's delayed ACK, about 40 ms per step. This client leaves Nagle
+/// on, so a frame split over two writes would stall its requests too.
+#[test]
+fn subscribed_steps_do_not_stall_on_delayed_acks() {
+    const STEPS: u32 = 200;
+    const STEP_SECS: f64 = 0.1;
+    const PERIOD_SECS: f64 = 0.05;
+    // Below the 40 ms a stalled step costs, and many times what a step
+    // costs without the stall.
+    const BOUND: Duration = Duration::from_millis(STEPS as u64 * 25);
+    let scenario = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/short.json"
+    ))
+    .unwrap();
+    let (addr, stop) = start_server(None);
+    let mut client = Client::connect(&addr);
+    assert!(matches!(
+        client.ask(&Request::Init { scenario }),
+        Reply::Inited { .. }
+    ));
+    assert_eq!(
+        client.ask(&Request::Subscribe {
+            period_secs: PERIOD_SECS
+        }),
+        Reply::Subscribed
+    );
+
+    let start = Instant::now();
+    let mut streamed_steps = 0;
+    for k in 1..=STEPS {
+        client.send(&Request::StepUntil {
+            t_secs: f64::from(k) * STEP_SECS,
+        });
+        let mut frames = 0;
+        loop {
+            match client.recv() {
+                Reply::Telemetry { .. } => frames += 1,
+                Reply::Stepped { .. } => break,
+                other => panic!("expected telemetry or stepped, got {other:?}"),
+            }
+        }
+        streamed_steps += u32::from(frames > 0);
+    }
+    let elapsed = start.elapsed();
+    eprintln!("{STEPS} subscribed steps took {elapsed:?}");
+    assert_eq!(
+        streamed_steps, STEPS,
+        "every step should stream a frame before `Stepped`"
+    );
+    assert!(
+        elapsed < BOUND,
+        "{STEPS} subscribed steps took {elapsed:?} (bound {BOUND:?}): frames stall on delayed ACKs"
+    );
     stop.store(true, Ordering::SeqCst);
 }
 

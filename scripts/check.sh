@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace (every crate's own tests)"
+cargo test -q --workspace
+
 echo "==> ring/scan equivalence proptests (--features reference-scan)"
 cargo test -q -p telemetry --features reference-scan ring_equivalence
 
