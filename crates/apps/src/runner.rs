@@ -152,6 +152,7 @@ impl Scenario {
             now: SimTime::ZERO,
             workload_done: false,
             done_scratch: Vec::new(),
+            dropped_scratch: Vec::new(),
         }
     }
 
@@ -201,6 +202,8 @@ pub struct ScenarioStepper {
     /// Reusable completion buffer for `World::run_until_into`, so the
     /// per-action simulation steps never allocate a fresh `Vec`.
     done_scratch: Vec<microsim::Completion>,
+    /// Reusable drop buffer for `World::drain_dropped_into`.
+    dropped_scratch: Vec<(RequestId, microsim::DropReason)>,
 }
 
 impl ScenarioStepper {
@@ -368,7 +371,8 @@ impl ScenarioStepper {
                 self.pool.on_completion(c.completed, user);
             }
         }
-        for (dropped, _reason) in world.drain_dropped() {
+        world.drain_dropped_into(&mut self.dropped_scratch);
+        for (dropped, _reason) in self.dropped_scratch.drain(..) {
             if let Some(user) = self.user_of.remove(&dropped) {
                 // The client sees an error "now"; approximate with the
                 // world clock.

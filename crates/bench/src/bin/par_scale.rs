@@ -198,7 +198,9 @@ fn run_point(p: Point, shards: usize) -> RunOutput {
         comp_fnv.write(format!("{:?}|{:?}", c.request, c.rtype).as_bytes());
     }
     let mut drop_fnv = Fnv::new();
-    for (req, reason) in t.world.drain_dropped() {
+    let mut dropped = Vec::new();
+    t.world.drain_dropped_into(&mut dropped);
+    for (req, reason) in dropped {
         drop_fnv.write(format!("{req:?}|{reason:?}").as_bytes());
     }
 

@@ -158,6 +158,7 @@ fn run_point(p: Point, backend: QueueBackend) -> EngineRun {
     let wall = Instant::now();
     let mut now = SimTime::ZERO;
     let mut done: Vec<microsim::Completion> = Vec::new();
+    let mut dropped = Vec::new();
     loop {
         let action = pool.next_action(now);
         let run_to = match action {
@@ -172,7 +173,8 @@ fn run_point(p: Point, backend: QueueBackend) -> EngineRun {
             }
         }
         let drop_at = t.world.now();
-        for (dropped, _reason) in t.world.drain_dropped() {
+        t.world.drain_dropped_into(&mut dropped);
+        for (dropped, _reason) in dropped.drain(..) {
             if let Some(u) = user_of.remove(&dropped) {
                 pool.on_drop(drop_at, u);
             }

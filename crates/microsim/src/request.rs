@@ -62,6 +62,41 @@ impl Frame {
     }
 }
 
+/// Upper bound on cleared call vectors kept in a [`CallPool`].
+const CALL_POOL_CAP: usize = 1024;
+
+/// A bounded pool of cleared `Vec<ChildCall>`s. A request whose trace is
+/// never stored (sampled out or dropped) hands its frames' call vectors
+/// back here, and the next non-leaf frame starts from one of them instead
+/// of a fresh allocation. A stored trace keeps its vectors: they become
+/// its spans' `children`.
+#[derive(Debug, Default)]
+pub(crate) struct CallPool {
+    spare: Vec<Vec<ChildCall>>,
+}
+
+impl CallPool {
+    /// A cleared vector, with capacity when the pool has one.
+    pub fn take(&mut self) -> Vec<ChildCall> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Takes the call vectors out of `frames`, keeping as many as the
+    /// pool has room for.
+    pub fn reclaim(&mut self, frames: &mut [Frame]) {
+        for frame in frames {
+            if self.spare.len() == CALL_POOL_CAP {
+                return;
+            }
+            if frame.calls.capacity() > 0 {
+                let mut calls = std::mem::take(&mut frame.calls);
+                calls.clear();
+                self.spare.push(calls);
+            }
+        }
+    }
+}
+
 /// Everything the world tracks about one in-flight request.
 #[derive(Debug, Clone)]
 pub(crate) struct RequestState {
@@ -229,6 +264,42 @@ mod tests {
         let trace = req.into_trace_with(Vec::new(), Some(t(50)));
         assert_eq!(trace.spans[1].departure, t(50));
         assert_eq!(trace.spans[1].children[0].end, t(50));
+    }
+
+    #[test]
+    fn call_pool_recycles_cleared_vectors_up_to_its_cap() {
+        let mut pool = CallPool::default();
+        assert_eq!(
+            pool.take().capacity(),
+            0,
+            "an empty pool hands out fresh vectors"
+        );
+        let call = ChildCall {
+            service: ServiceId(1),
+            start: t(1),
+            end: t(2),
+        };
+        let mut frames: Vec<Frame> = (0..CALL_POOL_CAP + 3)
+            .map(|i| {
+                let mut f = Frame::new(ServiceId(0), ReplicaId(0), SpanId(i as u64), None, t(0));
+                f.calls.push(call);
+                f
+            })
+            .collect();
+        // A leaf frame (no call capacity) contributes nothing.
+        frames.insert(
+            0,
+            Frame::new(ServiceId(0), ReplicaId(0), SpanId(0), None, t(0)),
+        );
+        pool.reclaim(&mut frames);
+        assert_eq!(pool.spare.len(), CALL_POOL_CAP);
+        assert!(pool.spare.iter().all(|v| v.is_empty() && v.capacity() > 0));
+        assert!(frames[1].calls.is_empty(), "reclaimed");
+        assert_eq!(
+            frames[CALL_POOL_CAP + 1].calls.len(),
+            1,
+            "beyond the cap stays put"
+        );
     }
 
     #[test]

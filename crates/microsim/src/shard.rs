@@ -316,6 +316,8 @@ struct ShardCore {
     live_roots: u64,
     cpu_jobs_scratch: Vec<cluster::CpuJobId>,
     cpu_work_scratch: Vec<SlabKey>,
+    /// Targets of a released job's open calls, in call order.
+    open_calls_scratch: Vec<ServiceId>,
     #[cfg(feature = "audit")]
     audit_last: SimTime,
     #[cfg(feature = "audit")]
@@ -356,6 +358,7 @@ impl ShardCore {
             live_roots: 0,
             cpu_jobs_scratch: Vec::new(),
             cpu_work_scratch: Vec::new(),
+            open_calls_scratch: Vec::new(),
             #[cfg(feature = "audit")]
             audit_last: SimTime::ZERO,
             #[cfg(feature = "audit")]
@@ -975,17 +978,18 @@ impl ShardCore {
     /// Returns every soft resource a job holds: its worker thread (or queue
     /// slot), any in-flight CPU work, and the connections of open calls.
     fn release_job_resources(&mut self, ctx: &EngCtx, now: SimTime, jk: SlabKey) {
-        let Some((replica, started, open_calls)) = self.jobs.get(jk).map(|j| {
-            (
-                j.replica,
-                j.started.is_some(),
+        let mut open_calls = std::mem::take(&mut self.open_calls_scratch);
+        open_calls.clear();
+        let Some((replica, started)) = self.jobs.get(jk).map(|j| {
+            open_calls.extend(
                 j.calls
                     .iter()
                     .filter(|c| c.end == SimTime::MAX)
-                    .map(|c| c.service)
-                    .collect::<Vec<_>>(),
-            )
+                    .map(|c| c.service),
+            );
+            (j.replica, j.started.is_some())
         }) else {
+            self.open_calls_scratch = open_calls;
             return;
         };
         if started {
@@ -1023,9 +1027,10 @@ impl ShardCore {
                 }
             }
         }
-        for target in open_calls {
+        for &target in &open_calls {
             self.drain_conn_waiters(ctx, now, replica, target);
         }
+        self.open_calls_scratch = open_calls;
         self.maybe_reap_drained(now, replica);
     }
 
@@ -2215,8 +2220,8 @@ impl ShardEngine {
         self.drop_breakdown
     }
 
-    pub(crate) fn drain_dropped(&mut self) -> Vec<(RequestId, DropReason)> {
-        std::mem::take(&mut self.dropped_log)
+    pub(crate) fn drain_dropped_into(&mut self, out: &mut Vec<(RequestId, DropReason)>) {
+        out.append(&mut self.dropped_log);
     }
 
     pub(crate) fn fault_log(&self) -> &[(SimTime, String)] {

@@ -3,7 +3,7 @@
 use crate::config::{LbPolicy, RequestTypeSpec, ServiceSpec, Stage, WorldConfig};
 use crate::faults::{BlackoutMode, FaultKind, FaultSchedule, FaultScheduleError};
 use crate::replica::{ConnWaiter, Replica, ReplicaState};
-use crate::request::{Frame, FrameIdx, RequestState};
+use crate::request::{CallPool, Frame, FrameIdx, RequestState};
 use crate::shard::{ShardEngine, ShardError};
 use cluster::{ClusterState, CpuJobId, Millicores, NodeId, PlacementError};
 use net::{Endpoint, Network, NetworkConfig, SendOutcome};
@@ -287,6 +287,12 @@ pub struct World {
     /// Reusable snapshot of a service's replica list for the soft-resource
     /// actuation loops (drains may mutate the list mid-walk).
     actuation_scratch: Vec<ReplicaId>,
+    /// The targets of the `Call` stage being issued, copied out of the
+    /// service spec so the spec stays borrowed only briefly.
+    call_targets_scratch: Vec<ServiceId>,
+    /// Call vectors of requests whose traces were never stored, reused by
+    /// later non-leaf frames.
+    call_pool: CallPool,
     next_request: u64,
     next_replica: u64,
     next_span: u64,
@@ -348,6 +354,8 @@ impl World {
             cpu_jobs_scratch: Vec::new(),
             cpu_work_scratch: Vec::new(),
             actuation_scratch: Vec::new(),
+            call_targets_scratch: Vec::new(),
+            call_pool: CallPool::default(),
             next_request: 0,
             next_replica: 0,
             next_span: 0,
@@ -1497,7 +1505,10 @@ impl World {
                         self.services[service.get() as usize].spec.name
                     )
                 });
-            match behavior.stages.get(stage_idx).cloned() {
+            // The stage stays borrowed from the service spec: the demand is
+            // sampled through the disjoint `rng` field, and call targets
+            // are copied into world-owned scratch before issuing.
+            match behavior.stages.get(stage_idx) {
                 None => {
                     self.complete_span(now, request, frame);
                     return;
@@ -1518,7 +1529,11 @@ impl World {
                         rs.frames[frame].stage += 1;
                         continue;
                     }
-                    self.issue_calls(now, request, frame, &targets);
+                    let mut scratch = std::mem::take(&mut self.call_targets_scratch);
+                    scratch.clear();
+                    scratch.extend_from_slice(targets);
+                    self.issue_calls(now, request, frame, &scratch);
+                    self.call_targets_scratch = scratch;
                     return;
                 }
             }
@@ -1536,6 +1551,9 @@ impl World {
         let replica = {
             let rs = self.requests.get_mut(request).expect("present");
             let f = &mut rs.frames[frame];
+            if f.calls.capacity() == 0 {
+                f.calls = self.call_pool.take();
+            }
             // One growth step for the whole fan-out instead of one per call.
             f.calls.reserve(targets.len());
             f.replica
@@ -1797,7 +1815,7 @@ impl World {
     }
 
     fn finalize_request(&mut self, now: SimTime, request: SlabKey) {
-        let rs = self
+        let mut rs = self
             .requests
             .remove(request)
             .expect("finalizing a live request");
@@ -1827,8 +1845,6 @@ impl World {
             }
             close_open_at = Some(now);
         }
-        let spare = self.warehouse.take_spare_spans();
-        let trace = rs.into_trace_with(spare, close_open_at);
         // The warehouse is part of the monitoring pipeline: blackout windows
         // withhold traces, and under a non-transparent telemetry edge the
         // trace is a message that may arrive late, duplicated (a retransmit
@@ -1839,6 +1855,8 @@ impl World {
             .as_ref()
             .is_some_and(|n| !n.config().telemetry_is_transparent())
         {
+            let spare = self.warehouse.take_spare_spans();
+            let trace = rs.into_trace_with(spare, close_open_at);
             let network = self.network.as_mut().expect("checked above");
             match network.send_dup(now, Endpoint::Service(entry), Endpoint::Monitor) {
                 SendOutcome::Deliver { at, duplicate } => {
@@ -1861,9 +1879,24 @@ impl World {
             }
         } else {
             match self.blackout {
-                None => self.warehouse.push(trace),
-                Some(BlackoutMode::Lag) => self.lag_traces.push(trace),
-                Some(BlackoutMode::Drop) => {}
+                // Direct ingest: the warehouse decides first, and a trace
+                // it would not store is never assembled; its call vectors
+                // go back to the pool instead.
+                None => {
+                    if self.warehouse.admit(rs.frames[0].span_id, now) {
+                        let spare = self.warehouse.take_spare_spans();
+                        self.warehouse
+                            .store(rs.into_trace_with(spare, close_open_at));
+                    } else {
+                        self.call_pool.reclaim(&mut rs.frames);
+                    }
+                }
+                Some(BlackoutMode::Lag) => {
+                    let spare = self.warehouse.take_spare_spans();
+                    self.lag_traces
+                        .push(rs.into_trace_with(spare, close_open_at));
+                }
+                Some(BlackoutMode::Drop) => self.call_pool.reclaim(&mut rs.frames),
             }
         }
         self.client.record(completed, response_time);
@@ -1915,7 +1948,7 @@ impl World {
 
     /// Aborts a request outright, reclaiming every resource its frames hold.
     fn abort_request(&mut self, now: SimTime, request: SlabKey, reason: DropReason) {
-        let Some(rs) = self.requests.remove(request) else {
+        let Some(mut rs) = self.requests.remove(request) else {
             return;
         };
         let id = rs.id;
@@ -1925,6 +1958,7 @@ impl World {
             }
             self.release_open_frame(now, request, &rs, fi);
         }
+        self.call_pool.reclaim(&mut rs.frames);
         self.dropped += 1;
         self.drop_breakdown.count(reason);
         self.dropped_log.push((id, reason));
@@ -1950,17 +1984,15 @@ impl World {
             if let Some(r) = self.rep_mut(replica) {
                 r.concurrency.leave(now);
                 r.threads.release();
-                // Cancel any CPU job of this frame.
-                let jobs: Vec<_> = r
-                    .jobs
-                    .iter()
-                    .filter(|(_, &(rq, f))| rq == request && f == fi)
-                    .map(|(&j, _)| j)
-                    .collect();
-                for j in jobs {
-                    r.jobs.remove(&j);
-                    r.cpu.cancel(now, j);
-                }
+                // Cancel any CPU job of this frame (at most one today).
+                let (jobs, cpu) = (&mut r.jobs, &mut r.cpu);
+                jobs.retain(|&j, &mut (rq, f)| {
+                    let mine = rq == request && f == fi;
+                    if mine {
+                        cpu.cancel(now, j);
+                    }
+                    !mine
+                });
             }
             self.schedule_cpu(now, replica);
             self.drain_thread_queue(now, replica);
@@ -2207,9 +2239,18 @@ impl World {
     /// reason — closed-loop drivers use this to recycle or retry the
     /// affected users (a real client would see a connection error).
     pub fn drain_dropped(&mut self) -> Vec<(RequestId, DropReason)> {
+        let mut out = Vec::new();
+        self.drain_dropped_into(&mut out);
+        out
+    }
+
+    /// Allocation-free variant of [`World::drain_dropped`]: appends the
+    /// drops to `out` (which the caller clears and reuses across steps),
+    /// and the world keeps its drop log's capacity.
+    pub fn drain_dropped_into(&mut self, out: &mut Vec<(RequestId, DropReason)>) {
         match self.engine.as_mut() {
-            Some(e) => e.drain_dropped(),
-            None => std::mem::take(&mut self.dropped_log),
+            Some(e) => e.drain_dropped_into(out),
+            None => out.append(&mut self.dropped_log),
         }
     }
 

@@ -80,36 +80,69 @@ impl Span {
 
     /// Wall time covered by at least one outstanding child call (interval
     /// union, robust to parallel fan-out).
+    ///
+    /// Children recorded in start order (the simulator's issue order) are
+    /// merged in one pass without allocating; any other order falls back
+    /// to merging a sorted copy. Both give the same union.
     pub fn child_wait_time(&self) -> SimDuration {
-        if self.children.is_empty() {
-            return SimDuration::ZERO;
+        let mut union = IntervalUnion::default();
+        let mut last_start = SimTime::ZERO;
+        for (s, e) in self.clamped_child_intervals() {
+            if s < last_start {
+                return self.child_wait_time_sorted();
+            }
+            last_start = s;
+            union.add(s, e);
         }
-        let mut intervals: Vec<(SimTime, SimTime)> = self
-            .children
+        union.total()
+    }
+
+    /// [`Span::child_wait_time`] for children in any order: merges a
+    /// sorted copy of the intervals.
+    pub(crate) fn child_wait_time_sorted(&self) -> SimDuration {
+        let mut intervals: Vec<(SimTime, SimTime)> = self.clamped_child_intervals().collect();
+        intervals.sort_unstable();
+        let mut union = IntervalUnion::default();
+        for (s, e) in intervals {
+            union.add(s, e);
+        }
+        union.total()
+    }
+
+    /// Child-call intervals clamped to the span, empty ones dropped.
+    fn clamped_child_intervals(&self) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
+        self.children
             .iter()
             .map(|c| (c.start.max(self.arrival), c.end.min(self.departure)))
             .filter(|(s, e)| e > s)
-            .collect();
-        intervals.sort();
-        let mut covered = SimDuration::ZERO;
-        let mut cursor: Option<(SimTime, SimTime)> = None;
-        for (s, e) in intervals {
-            match cursor {
-                None => cursor = Some((s, e)),
-                Some((cs, ce)) => {
-                    if s <= ce {
-                        cursor = Some((cs, ce.max(e)));
-                    } else {
-                        covered += ce - cs;
-                        cursor = Some((s, e));
-                    }
-                }
+    }
+}
+
+/// Running length of a union of intervals fed in non-decreasing start
+/// order.
+#[derive(Default)]
+struct IntervalUnion {
+    covered: SimDuration,
+    cursor: Option<(SimTime, SimTime)>,
+}
+
+impl IntervalUnion {
+    fn add(&mut self, s: SimTime, e: SimTime) {
+        match self.cursor {
+            Some((cs, ce)) if s <= ce => self.cursor = Some((cs, ce.max(e))),
+            Some((cs, ce)) => {
+                self.covered += ce - cs;
+                self.cursor = Some((s, e));
             }
+            None => self.cursor = Some((s, e)),
         }
-        if let Some((cs, ce)) = cursor {
-            covered += ce - cs;
+    }
+
+    fn total(&self) -> SimDuration {
+        match self.cursor {
+            Some((cs, ce)) => self.covered + (ce - cs),
+            None => self.covered,
         }
-        covered
     }
 }
 
@@ -251,6 +284,54 @@ mod tests {
         );
         assert_eq!(s.child_wait_time().as_millis(), 40);
         assert_eq!(s.self_time(), SimDuration::ZERO);
+    }
+
+    fn call(start: u64, end: u64) -> ChildCall {
+        ChildCall {
+            service: ServiceId(1),
+            start: t(start),
+            end: t(end),
+        }
+    }
+
+    #[test]
+    fn out_of_order_children_take_the_sorted_path() {
+        // Same intervals as `parallel_children_are_not_double_counted`,
+        // listed out of start order.
+        let s = span(0, 0, 100, vec![call(50, 80), call(10, 60), call(20, 40)]);
+        assert_eq!(s.child_wait_time().as_millis(), 70);
+        assert_eq!(s.child_wait_time(), s.child_wait_time_sorted());
+    }
+
+    proptest::proptest! {
+        /// The one-pass merge and the sorted merge agree on every child
+        /// list: in issue order, shuffled, overlapping, clamped or empty.
+        #[test]
+        fn one_pass_union_matches_sorted_union(
+            raw in proptest::collection::vec((0u64..200, 0u64..80), 0..12),
+            window in (0u64..60, 100u64..220),
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let mut calls: Vec<ChildCall> =
+                raw.iter().map(|&(start, len)| call(start, start + len)).collect();
+            let mut ordered = span(0, window.0, window.1, calls.clone());
+            ordered.children.sort_by_key(|c| c.start);
+            proptest::prop_assert_eq!(
+                ordered.child_wait_time(),
+                ordered.child_wait_time_sorted()
+            );
+            // A deterministic shuffle by the drawn key.
+            let n = calls.len();
+            for i in (1..n).rev() {
+                let j = ((shuffle >> (i % 48)) as usize ^ i.wrapping_mul(31)) % (i + 1);
+                calls.swap(i, j);
+            }
+            let shuffled = span(0, window.0, window.1, calls);
+            proptest::prop_assert_eq!(
+                shuffled.child_wait_time(),
+                ordered.child_wait_time_sorted()
+            );
+        }
     }
 
     #[test]

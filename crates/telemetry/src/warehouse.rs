@@ -1,6 +1,6 @@
 //! The trace warehouse: a time-horizon-bounded store of finished traces.
 
-use crate::{ServiceId, Span, Trace};
+use crate::{ServiceId, Span, SpanId, Trace};
 use sim_core::{SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
 
@@ -104,39 +104,61 @@ impl TraceWarehouse {
         }
     }
 
-    /// Ingests a finished trace (subject to sampling), evicting expired ones.
+    /// Ingests a finished trace (subject to sampling), evicting expired ones:
+    /// [`Self::admit`] followed by [`Self::store`] when admitted.
     ///
-    /// A trace whose root span id was already ingested within the horizon is
-    /// a network retransmit: it is dropped *before* the sampling counter
-    /// advances, so duplicated deliveries cannot shift which later traces
-    /// the sampler keeps. Traces with no spans bypass dedupe (they have no
-    /// identity to key on).
+    /// # Panics
+    ///
+    /// Panics if the trace has no spans.
     pub fn push(&mut self, trace: Trace) {
-        let now = trace.completed_at();
-        if let Some(root) = trace.spans.first() {
-            let id = root.id.get();
-            if !self.seen.insert(id) {
-                self.duplicates_dropped += 1;
-                self.recycle(trace.spans);
-                return;
-            }
-            self.ledger.push_back((now, id));
-        }
-        self.counter += 1;
-        if (self.counter - 1).is_multiple_of(self.sample_every) {
-            let service_mask = trace
-                .spans
-                .iter()
-                .fold(0u64, |mask, span| mask | service_bit(span.service));
-            self.traces.push_back(StoredTrace {
-                completed: now,
-                service_mask,
-                trace,
-            });
+        if self.admit(trace.root().id, trace.completed_at()) {
+            self.store(trace);
         } else {
             self.recycle(trace.spans);
         }
-        self.evict_before(now);
+    }
+
+    /// Decides whether the trace rooted at `root` (completed at
+    /// `completed`) will be stored, doing all of ingest's bookkeeping
+    /// except the store itself. A producer that still has to assemble the
+    /// trace asks first and builds it only on `true`, passing it to
+    /// [`Self::store`].
+    ///
+    /// A root span id already ingested within the horizon is a network
+    /// retransmit: it answers `false` *before* the sampling counter
+    /// advances, so duplicated deliveries cannot shift which later traces
+    /// the sampler keeps. Otherwise the id is remembered, the sampling
+    /// counter advances (one in `sample_every` is kept), and traces older
+    /// than the horizon before `completed` are evicted.
+    pub fn admit(&mut self, root: SpanId, completed: SimTime) -> bool {
+        let id = root.get();
+        if !self.seen.insert(id) {
+            self.duplicates_dropped += 1;
+            return false;
+        }
+        self.ledger.push_back((completed, id));
+        self.counter += 1;
+        let keep = (self.counter - 1).is_multiple_of(self.sample_every);
+        self.evict_before(completed);
+        keep
+    }
+
+    /// Stores a trace that [`Self::admit`] just admitted. Storing a trace
+    /// that was not admitted breaks dedupe and sampling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has no spans.
+    pub fn store(&mut self, trace: Trace) {
+        let service_mask = trace
+            .spans
+            .iter()
+            .fold(0u64, |mask, span| mask | service_bit(span.service));
+        self.traces.push_back(StoredTrace {
+            completed: trace.completed_at(),
+            service_mask,
+            trace,
+        });
     }
 
     /// Drops traces that completed before `now − horizon`, forgetting their
@@ -403,6 +425,106 @@ mod tests {
         // Duplicates also donate their span storage.
         w.push(trace(2, 200));
         assert!(w.take_spare_spans().capacity() > 0);
+    }
+
+    /// Ingest through the split API, the way a producer that assembles
+    /// traces only on admission does.
+    fn admit_then_store(w: &mut TraceWarehouse, trace: Trace) {
+        if w.admit(trace.root().id, trace.completed_at()) {
+            w.store(trace);
+        }
+    }
+
+    /// The single-step ingest `push` performed before it was split into
+    /// `admit` + `store`, kept as the equivalence oracle.
+    fn reference_push(w: &mut TraceWarehouse, trace: Trace) {
+        let now = trace.completed_at();
+        if let Some(root) = trace.spans.first() {
+            let id = root.id.get();
+            if !w.seen.insert(id) {
+                w.duplicates_dropped += 1;
+                w.recycle(trace.spans);
+                return;
+            }
+            w.ledger.push_back((now, id));
+        }
+        w.counter += 1;
+        if (w.counter - 1).is_multiple_of(w.sample_every) {
+            let service_mask = trace
+                .spans
+                .iter()
+                .fold(0u64, |mask, span| mask | service_bit(span.service));
+            w.traces.push_back(StoredTrace {
+                completed: now,
+                service_mask,
+                trace,
+            });
+        } else {
+            w.recycle(trace.spans);
+        }
+        w.evict_before(now);
+    }
+
+    fn same_contents(a: &TraceWarehouse, b: &TraceWarehouse) {
+        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        assert_eq!(a.ingested(), b.ingested());
+        assert_eq!(a.duplicates_dropped(), b.duplicates_dropped());
+        assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn admit_answers_like_push_stores() {
+        let mut w = TraceWarehouse::new(SimDuration::from_secs(10), 2);
+        assert!(w.admit(SpanId(1), SimTime::from_millis(10)));
+        assert!(!w.admit(SpanId(2), SimTime::from_millis(20)), "sampled out");
+        assert!(!w.admit(SpanId(1), SimTime::from_millis(30)), "duplicate");
+        assert!(w.admit(SpanId(3), SimTime::from_millis(40)));
+        assert_eq!(w.ingested(), 3);
+        assert_eq!(w.duplicates_dropped(), 1);
+        assert!(w.is_empty(), "admit alone stores nothing");
+    }
+
+    proptest::proptest! {
+        /// `admit` + `store`, and `push` built on them, leave the
+        /// warehouse exactly as the single-step ingest did: same stored
+        /// traces, counters and later dedupe decisions, over streams with
+        /// retransmits, late stragglers and horizon eviction.
+        #[test]
+        fn admit_and_store_match_push(
+            events in proptest::collection::vec((0u64..40, 0u64..400, 0u8..4), 1..120),
+            sample in 0usize..3,
+            horizon_ms in 20u64..300,
+        ) {
+            let sample_every = [1, 3, 1024][sample];
+            let horizon = SimDuration::from_millis(horizon_ms);
+            let mut reference = TraceWarehouse::new(horizon, sample_every);
+            let mut pushed = TraceWarehouse::new(horizon, sample_every);
+            let mut split = TraceWarehouse::new(horizon, sample_every);
+            let mut clock = 0u64;
+            for &(id, dt, kind) in &events {
+                // kind 0: a straggler completing before the clock; else
+                // the clock moves forward.
+                let done = if kind == 0 {
+                    clock.saturating_sub(dt)
+                } else {
+                    clock += dt / 4;
+                    clock
+                };
+                reference_push(&mut reference, trace(id, done));
+                pushed.push(trace(id, done));
+                admit_then_store(&mut split, trace(id, done));
+                same_contents(&reference, &pushed);
+                same_contents(&reference, &split);
+            }
+            // Replaying every id afterwards: the dedupe memory agrees too.
+            for &(id, _, _) in &events {
+                reference_push(&mut reference, trace(id, clock));
+                pushed.push(trace(id, clock));
+                admit_then_store(&mut split, trace(id, clock));
+            }
+            same_contents(&reference, &pushed);
+            same_contents(&reference, &split);
+        }
     }
 
     #[cfg(feature = "audit")]

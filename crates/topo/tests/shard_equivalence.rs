@@ -101,9 +101,11 @@ fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
     assert!(t.world.is_quiescent(), "run must drain ({params:?})");
     let traces = serde_json::to_string(&t.world.warehouse().iter().collect::<Vec<_>>())
         .expect("traces serialize");
+    let mut dropped_log = Vec::new();
+    t.world.drain_dropped_into(&mut dropped_log);
     Observed {
         completions: done,
-        dropped_log: t.world.drain_dropped(),
+        dropped_log,
         drop_breakdown: format!("{:?}", t.world.drop_breakdown()),
         fault_log: t.world.fault_log().to_vec(),
         spans: t.world.spans_created(),

@@ -82,6 +82,15 @@ try:
             assert set(p[eng]["counters"]) == counter_keys, f"{eng} counters drifted"
 except AssertionError as e:
     sys.exit(f"BENCH_scale.json schema drift: {e}")
+# Request-lifecycle allocation ceiling. The smoke point measured 5.52
+# allocations per request on the wheel engine (35.3 before call-stage
+# borrowing, call-vector pooling and admission before trace assembly);
+# one more allocation per request anywhere in the lifecycle breaks it.
+ALLOCS_CEILING = 6.0
+apr = data["points"][0]["wheel"]["allocs_per_request"]
+if not data["smoke"] or apr > ALLOCS_CEILING:
+    sys.exit(f"scale smoke point allocates {apr:.2f}/request "
+             f"(ceiling {ALLOCS_CEILING}, smoke={data['smoke']})")
 EOF
 rm -f /tmp/scale_smoke_j1.txt /tmp/scale_smoke_j4.txt
 mv /tmp/BENCH_scale_golden.json results/BENCH_scale.json
